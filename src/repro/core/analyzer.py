@@ -241,9 +241,11 @@ class LimitAnalyzer:
 
     After an ``analyze`` call with ``flow_limit`` set,
     :attr:`last_flow_peaks` holds, per model, the peak number of live
-    entries in the per-cycle branch-retirement table — the quantity the
-    flow-limit pruning fix (see :func:`_run_model`) keeps bounded for the
-    branch-ordering machines.
+    entries in the per-cycle branch-retirement table.  It is at most 1
+    for the in-order machines, whose flow-consuming branches retire
+    strictly above their ordering clock; for CD-MF and SP-CD-MF it is
+    the number of cycles in which a branch retired, bounded by the
+    schedule height rather than the branch count.
     """
 
     def __init__(
@@ -552,6 +554,9 @@ _CD_MODELS = frozenset(
         MachineModel.SP_CD_MF,
     )
 )
+#: The machines whose flow-consuming branches are not ordered: only these
+#: keep a flow ledger (see ``emit_flow``).
+_MF_MODELS = frozenset((MachineModel.CD_MF, MachineModel.SP_CD_MF))
 
 
 def _kernel_spec(
@@ -694,6 +699,8 @@ def _emit_kernel(spec: tuple) -> str:
     n = len(models)
     cd = [m for m in range(n) if models[m] in _CD_MODELS]
     any_cd = bool(cd)
+    # Flow-ledger machines: never pruned, so a ledger's final size is its peak.
+    ledger = [m for m in range(n) if has_flow and models[m] in _MF_MODELS]
     any_sp = any(model.uses_speculation for model in models)
     n_regs = registers.NUM_REGS
     sp_m = (
@@ -734,19 +741,28 @@ def _emit_kernel(spec: tuple) -> str:
             emit(f"{indent}    y{m} = t{m}")
 
     def emit_flow(m: int, indent: str) -> None:
-        # Greedy k-flow placement: bump the completion past full cycles.
-        emit(f"{indent}while cg{m}(c{m}, 0) >= flow_limit:")
-        emit(f"{indent}    c{m} += 1")
-        emit(f"{indent}cb{m}[c{m}] = cg{m}(c{m}, 0) + 1")
-        emit(f"{indent}if len(cb{m}) > pk{m}:")
-        emit(f"{indent}    pk{m} = len(cb{m})")
-
-    def emit_prune(m: int, floor: str, indent: str) -> None:
-        # Drop retirement-table entries at or below the ordering floor:
-        # every later branch is clamped strictly above it.
-        emit(f"{indent}if cb{m}:")
-        emit(f"{indent}    for k_ in [k_ for k_ in cb{m} if k_ <= {floor}]:")
-        emit(f"{indent}        del cb{m}[k_]")
+        if m not in ledger:
+            # An in-order machine retires each flow-consuming branch above
+            # its ordering clock, and its ledger holds nothing above it:
+            # the branch never moves and is the ledger's only entry.
+            if has_flow:
+                emit(f"{indent}pk{m} = 1")
+            return
+        # Greedy k-flow placement in the first cycle at or after c{m} with
+        # fewer than k branches.  A full cycle points to a later candidate;
+        # the probe walks the pointers, then points its path at the answer.
+        emit(f"{indent}nb = cg{m}(c{m}, 0)")
+        emit(f"{indent}if nb < 0:")
+        emit(f"{indent}    p_ = c{m}")
+        emit(f"{indent}    while nb < 0:")
+        emit(f"{indent}        c{m} = -nb")
+        emit(f"{indent}        nb = cg{m}(c{m}, 0)")
+        emit(f"{indent}    while p_ != c{m}:")
+        emit(f"{indent}        q_ = -cb{m}[p_]")
+        emit(f"{indent}        cb{m}[p_] = -c{m}")
+        emit(f"{indent}        p_ = q_")
+        emit(f"{indent}nb += 1")
+        emit(f"{indent}cb{m}[c{m}] = nb if nb < flow_limit else -1 - c{m}")
 
     # -- prologue: hoist tables, initialize per-model state ----------------
     emit("def _kernel(chunks, tables, window, flow_limit, sp_stats):")
@@ -799,10 +815,11 @@ def _emit_kernel(spec: tuple) -> str:
         if model in _CD_MODELS:
             emit(f"    bt{m} = {{}}")
             emit(f"    sv{m} = [0]")
-        if has_flow and _flow_limited(model):
+        if m in ledger:
             emit(f"    cb{m} = {{}}")
             emit(f"    cg{m} = cb{m}.get")
-        emit(f"    pk{m} = 0")
+        else:
+            emit(f"    pk{m} = 0")
         if has_stats and model is MachineModel.SP:
             emit("    seg_len = 0")
             emit("    seg_cycles = set()")
@@ -929,53 +946,38 @@ def _emit_kernel(spec: tuple) -> str:
         if any_sp:
             emit(b1 + "mpi = mp[i]")
         for m, model in enumerate(models):
-            flow_here = has_flow and _flow_limited(model)
             if model is MachineModel.BASE:
-                if flow_here:
-                    emit_flow(m, b1)
+                emit_flow(m, b1)
                 emit(b1 + f"lb{m} = c{m}")
-                if flow_here:
-                    emit_prune(m, f"lb{m}", b1)
             elif model is MachineModel.CD:
                 emit(b1 + f"if c{m} <= lb{m}:")
                 emit(b1 + f"    c{m} = lb{m} + 1")
-                if flow_here:
-                    emit_flow(m, b1)
+                emit_flow(m, b1)
                 emit(b1 + f"lb{m} = c{m}")
                 emit(b1 + f"bt{m}[pc] = c{m}")
-                if flow_here:
-                    emit_prune(m, f"lb{m}", b1)
             elif model is MachineModel.CD_MF:
-                if flow_here:
-                    emit_flow(m, b1)
+                emit_flow(m, b1)
                 emit(b1 + f"bt{m}[pc] = c{m}")
             elif model is MachineModel.SP:
                 emit(b1 + "if mpi:")
                 emit(b2 + f"if c{m} <= lmp{m}:")
                 emit(b2 + f"    c{m} = lmp{m} + 1")
-                if flow_here:
-                    emit_flow(m, b2)
+                emit_flow(m, b2)
                 emit(b2 + f"lmp{m} = c{m}")
-                if flow_here:
-                    emit_prune(m, f"lmp{m}", b2)
             elif model is MachineModel.SP_CD:
                 emit(b1 + "if mpi:")
                 emit(b2 + f"if c{m} <= lmp{m}:")
                 emit(b2 + f"    c{m} = lmp{m} + 1")
-                if flow_here:
-                    emit_flow(m, b2)
+                emit_flow(m, b2)
                 emit(b2 + f"bt{m}[pc] = c{m}")
                 emit(b2 + f"lmp{m} = c{m}")
-                if flow_here:
-                    emit_prune(m, f"lmp{m}", b2)
                 emit(b1 + "else:")
                 emit(b2 + f"bt{m}[pc] = ct{m}")
             elif model is MachineModel.SP_CD_MF:
                 # A correctly predicted branch records its *inherited*
                 # constraint, not its completion: speculation hides it.
                 emit(b1 + "if mpi:")
-                if flow_here:
-                    emit_flow(m, b2)
+                emit_flow(m, b2)
                 emit(b2 + f"bt{m}[pc] = c{m}")
                 emit(b1 + "else:")
                 emit(b2 + f"bt{m}[pc] = ct{m}")
@@ -1032,7 +1034,7 @@ def _emit_kernel(spec: tuple) -> str:
         emit("    if seg_len:")
         emit("        spadd(seg_len, max(len(seg_cycles), 1))")
     makespans = ", ".join(f"mk{m}" for m in range(n))
-    peaks = ", ".join(f"pk{m}" for m in range(n))
+    peaks = ", ".join(f"len(cb{m})" if m in ledger else f"pk{m}" for m in range(n))
     comma = "," if n == 1 else ""
     if has_tele:
         # End-of-sweep counter sampling (telemetry variant only): the
@@ -1055,17 +1057,6 @@ def _emit_kernel(spec: tuple) -> str:
         )
     emit("")
     return "\n".join(out)
-
-
-def _flow_limited(model: MachineModel) -> bool:
-    """Can *model* ever consume a flow of control (``flow_limit``)?
-
-    ORACLE is exempt: with perfect prediction branches never switch the
-    flow of control.  Speculative machines consume a flow only on a
-    misprediction; the single-flow non-speculative machines on every
-    branch.
-    """
-    return model is not MachineModel.ORACLE
 
 
 # ======================================================================

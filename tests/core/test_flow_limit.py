@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.core import LimitAnalyzer, MachineModel
+from repro.core import ALL_MODELS, LimitAnalyzer, MachineModel
 from repro.vm import VM
 
 M = MachineModel
@@ -74,6 +74,68 @@ class TestExactCycles:
         _, trace, analyzer = setup
         with pytest.raises(ValueError, match="flow_limit"):
             analyzer.analyze(trace, models=[M.CD_MF], flow_limit=0)
+
+
+def guarded_branches(reg: str, count: int, tag: str) -> list[str]:
+    """*count* independent branches on *reg*, each guarding one ``li``."""
+    lines = []
+    for j in range(count):
+        lines += [f"    bltz {reg}, {tag}{j}", "    li $t4, 1", f"{tag}{j}:"]
+    return lines
+
+
+#: Branches ready in cycle 2 that open the trace.
+RUN = 64
+#: Branches ready in cycle 2 that come after the straggler.
+LATE = 8
+#: ``$t1`` is ready in cycle 10, so the straggler branch on it is ready in
+#: cycle 11: inside the run of full cycles, whose forward pointers no
+#: probe from cycle 2 has compressed yet.
+MULTI_HOP_SOURCE = "\n".join(
+    ["    li $t0, 1", "    li $t1, 1"]
+    + ["    addi $t1, $t1, 1"] * 9
+    + guarded_branches("$t0", RUN, "r")
+    + guarded_branches("$t1", 1, "s")
+    + guarded_branches("$t0", LATE, "l")
+    + ["    halt"]
+)
+
+
+class TestMultiHopForwarding:
+    @pytest.fixture(scope="class")
+    def multi_hop(self):
+        program = assemble(MULTI_HOP_SOURCE)
+        return LimitAnalyzer(program), VM(program).run().trace
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_branches_land_past_full_run(self, multi_hop, k):
+        # The RUN + 1 + LATE branches all probe from cycles inside the
+        # dense run, so they fill cycles 2, 3, ... k to a cycle; the last
+        # one retires in 2 + (branches - 1) // k and its guarded li a
+        # cycle later.
+        analyzer, trace = multi_hop
+        result = analyzer.analyze(trace, models=[M.CD_MF], flow_limit=k)
+        branches = RUN + 1 + LATE
+        assert result[M.CD_MF].parallel_time == 3 + (branches - 1) // k
+        # One ledger entry per cycle that retired a branch.
+        assert analyzer.last_flow_peaks == {M.CD_MF: 1 + (branches - 1) // k}
+
+    def test_unlimited_flows(self, multi_hop):
+        # The straggler's guarded li, in cycle 12, finishes last.
+        analyzer, trace = multi_hop
+        result = analyzer.analyze(trace, models=[M.CD_MF])
+        assert result[M.CD_MF].parallel_time == 12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fused_matches_legacy(self, multi_hop, k):
+        analyzer, trace = multi_hop
+        fused = analyzer.analyze(trace, models=ALL_MODELS, flow_limit=k)
+        fused_peaks = dict(analyzer.last_flow_peaks)
+        legacy = analyzer.analyze(
+            trace, models=ALL_MODELS, flow_limit=k, engine="legacy"
+        )
+        assert fused == legacy
+        assert analyzer.last_flow_peaks == fused_peaks
 
 
 class TestSpeculativeFlowLimit:

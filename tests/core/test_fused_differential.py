@@ -51,7 +51,9 @@ def test_optioned_shapes_identical(runs, name):
     for kwargs in (
         dict(collect_misprediction_stats=True),
         dict(window=32),
+        dict(flow_limit=1),
         dict(flow_limit=2),
+        dict(flow_limit=3, perfect_inlining=False, perfect_unrolling=False),
         dict(perfect_inlining=False, perfect_unrolling=False),
     ):
         fused = analyzer.analyze(

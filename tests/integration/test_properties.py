@@ -301,6 +301,12 @@ class TestAnalyzerInvariants:
         run = VM(program).run(max_steps=10_000)
         analyzer = LimitAnalyzer(program)
         few = analyzer.analyze(run.trace, models=[M.CD_MF], flow_limit=low)
+        few_peaks = dict(analyzer.last_flow_peaks)
+        legacy = analyzer.analyze(
+            run.trace, models=[M.CD_MF], flow_limit=low, engine="legacy"
+        )
+        assert few == legacy
+        assert analyzer.last_flow_peaks == few_peaks
         many = analyzer.analyze(run.trace, models=[M.CD_MF], flow_limit=high)
         unlimited = analyzer.analyze(run.trace, models=[M.CD_MF])
         assert (
