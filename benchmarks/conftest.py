@@ -24,7 +24,9 @@ def budget() -> int:
 
 @pytest.fixture(scope="session")
 def runner():
-    return SuiteRunner(RunConfig(max_steps=budget()))
+    runner = SuiteRunner(RunConfig(max_steps=budget()))
+    yield runner
+    runner.close()
 
 
 @pytest.fixture(scope="session")

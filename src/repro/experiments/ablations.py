@@ -133,21 +133,27 @@ def convergence_ablation(
 ) -> ConvergenceAblation:
     """Re-run the Table 3 harmonic mean at several trace budgets.
 
-    The per-budget runners inherit the parent runner's workload scale and
-    persistent artifact cache, so a prior :meth:`SuiteRunner.prefetch` of
-    this ablation's requirements (which is how large ``--max-steps``
-    sweeps become tractable) is reused here instead of re-traced.
+    The per-budget runners take the parent runner's configuration with
+    only ``max_steps`` changed, and share its artifact cache (throwaway or
+    not), so a prior :meth:`SuiteRunner.prefetch` of this ablation's
+    requirements (which is how large ``--max-steps`` sweeps become
+    tractable) is reused here instead of re-traced.
     """
+    from dataclasses import replace
+
     from repro.bench import NON_NUMERIC
     from repro.core import ALL_MODELS, harmonic_mean
-    from repro.experiments.runner import RunConfig
 
-    scale = runner.config.scale if runner is not None else None
-    cache_dir = runner.config.cache_dir if runner is not None else None
+    if runner is None:
+        runner = SuiteRunner()
+        try:
+            return convergence_ablation(runner, budgets)
+        finally:
+            runner.close()
     rows: list[tuple[int, dict[MachineModel, float]]] = []
     for budget in budgets:
         budget_runner = SuiteRunner(
-            RunConfig(max_steps=budget, scale=scale, cache_dir=cache_dir)
+            replace(runner.config, max_steps=budget, cache_dir=runner.cache.root)
         )
         per_model: dict[MachineModel, list[float]] = {m: [] for m in ALL_MODELS}
         for name in NON_NUMERIC:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -177,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not keep artifacts between runs (with --jobs > 1, a "
-        "throwaway directory still transports artifacts between workers)",
+        help="do not keep artifacts between runs (the farm runs over a "
+        "throwaway cache directory)",
     )
     parser.add_argument(
         "--legacy-engine",
@@ -306,17 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         except FaultSpecError as exc:
             parser.error(f"--inject-faults: {exc}")
 
-    transport = None
-    if args.no_cache:
-        # Workers still need a directory to ship artifacts through; use a
-        # throwaway one so nothing persists.
-        cache_dir = None
-        if args.jobs > 1:
-            transport = tempfile.TemporaryDirectory(prefix="repro-cache-")
-            cache_dir = transport.name
-    else:
-        cache_dir = args.cache_dir
-
     report = open(args.output, "a") if args.output else None
     if report:
         report.write(
@@ -329,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             verify=args.verify,
             jobs=args.jobs,
-            cache_dir=cache_dir,
+            cache_dir=None if args.no_cache else args.cache_dir,
             engine="legacy" if args.legacy_engine else "fused",
             telemetry_dir=args.telemetry_dir,
             profile=args.profile,
@@ -393,8 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.shutdown()
         if report:
             report.close()
-        if transport is not None:
-            transport.cleanup()
+        runner.close()
     return 0
 
 

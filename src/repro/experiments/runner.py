@@ -9,7 +9,7 @@ every table and figure from one set of pixie runs.
 
 from __future__ import annotations
 
-import time
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,15 +21,16 @@ from repro.diagnostics import DiagnosticError, Severity
 from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor, branch_stats
 from repro.jobs import (
     HIT,
-    RUN,
+    AnalysisRequest,
     ArtifactCache,
     ExecutionEngine,
     FarmReport,
     Planner,
+    Request,
     RetryPolicy,
+    TraceRequest,
 )
-from repro.jobs import keys as jobkeys
-from repro.vm import CorruptArtifactError, FastVM, Trace
+from repro.vm import CorruptArtifactError, Trace
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,11 @@ class RunConfig:
     :class:`~repro.diagnostics.DiagnosticError` on any error-severity
     finding.
 
-    ``cache_dir`` enables the persistent content-addressed artifact cache
-    of :mod:`repro.jobs` at that directory (None — the default, which the
-    test suite exercises — keeps everything in-process and in-memory, the
-    pre-farm behavior).  ``jobs`` is the worker-process count used when
-    experiment requirements are prefetched through the farm; 1 runs jobs
+    ``cache_dir`` is the persistent content-addressed artifact cache of
+    :mod:`repro.jobs` that the farm produces every artifact into.  None
+    (the default, which the test suite exercises) runs the same farm over
+    a throwaway directory that :meth:`SuiteRunner.close` removes.
+    ``jobs`` is the worker-process count of the farm; 1 runs jobs
     serially in-process.
 
     ``engine`` selects the analyzer implementation: ``"fused"`` (the
@@ -98,13 +99,12 @@ class RunConfig:
 class BenchmarkRun:
     """One benchmark's trace plus everything derived from it.
 
-    The trace is held either in memory (``trace=``, the no-cache path) or
-    in the content-addressed cache behind an ``opener`` producing fresh
-    streaming readers.  :attr:`trace` materializes lazily for consumers
-    that genuinely need whole-trace columns (the verifier, ablations);
-    chunk-wise consumers call :meth:`trace_source` and never pay the
-    memory.  :attr:`stats` (Table 2) is likewise computed on first use,
-    chunk-wise.
+    The trace lives in the content-addressed cache behind an ``opener``
+    producing fresh streaming readers.  :attr:`trace` materializes lazily
+    for consumers that genuinely need whole-trace columns (the verifier,
+    ablations); chunk-wise consumers call :meth:`trace_source` and never
+    pay the memory.  :attr:`stats` (Table 2) is likewise computed on
+    first use, chunk-wise.
     """
 
     def __init__(
@@ -112,15 +112,12 @@ class BenchmarkRun:
         spec: BenchmarkSpec,
         analyzer: LimitAnalyzer,
         predictor: ProfilePredictor,
-        trace: Trace | None = None,
-        opener=None,
+        opener,
     ):
-        if trace is None and opener is None:
-            raise ValueError("BenchmarkRun needs a trace or an opener")
         self.spec = spec
         self.analyzer = analyzer
         self.predictor = predictor
-        self._trace = trace
+        self._trace: Trace | None = None
         self._opener = opener
         self._stats: BranchStats | None = None
 
@@ -138,9 +135,9 @@ class BenchmarkRun:
     def trace_source(self):
         """The cheapest full-trace source for chunk-wise consumers.
 
-        A fresh streaming :class:`~repro.vm.trace_io.TraceReader` when
-        the trace lives in the artifact cache (bounded memory at any
-        budget), else the in-memory :class:`Trace`.
+        The in-memory :class:`Trace` once :attr:`trace` has materialized
+        it, else a fresh streaming :class:`~repro.vm.trace_io.TraceReader`
+        over the cached trace (bounded memory at any budget).
         """
         if self._trace is not None:
             return self._trace
@@ -157,13 +154,19 @@ class BenchmarkRun:
 class SuiteRunner:
     """Caches traces and analysis results across experiment modules.
 
-    With ``RunConfig.cache_dir`` set, every expensive artifact — traces,
-    branch profiles, analysis results — is additionally read from and
-    written to the persistent content-addressed store of
-    :mod:`repro.jobs`, and :meth:`prefetch` can farm the work for a set
-    of experiment requests across worker processes before the experiment
-    modules render anything.  Without a cache directory the runner is the
-    original serial, in-process engine.
+    Every trace, branch profile and analysis result is produced by the
+    farm of :mod:`repro.jobs` into a content-addressed artifact cache —
+    ``RunConfig.cache_dir``, or a throwaway directory removed by
+    :meth:`close` when that is None.  :meth:`prefetch` farms the work for
+    a set of experiment requests before the experiment modules render
+    anything; :meth:`run` and :meth:`analyze` load artifacts by key,
+    planning the one request they need through the same farm when the
+    prefetch did not cover it.  Only analyses with a custom predictor or
+    the legacy engine run in this process, outside the result cache.
+
+    A runner made without a ``cache_dir`` owns its throwaway directory:
+    call :meth:`close` when done with it, or the directory lingers until
+    garbage collection.
     """
 
     def __init__(self, config: RunConfig | None = None):
@@ -178,16 +181,20 @@ class SuiteRunner:
             if telemetry.context.current() is None:
                 telemetry.context.set_default(telemetry.context.mint())
         self._runs: dict[str, BenchmarkRun] = {}
-        self._results: dict[tuple, AnalysisResult] = {}
+        self._results: dict[AnalysisRequest, AnalysisResult] = {}
         self.farm_report = FarmReport()
-        self._cache = None
-        self._planner = None
-        if self.config.cache_dir is not None:
-            self._cache = ArtifactCache(self.config.cache_dir)
-            self._planner = Planner(self._cache, self.farm_report)
+        self._scratch = None
+        cache_dir = self.config.cache_dir
+        if cache_dir is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="repro-cache-")
+            cache_dir = self._scratch.name
+        self.cache = ArtifactCache(cache_dir)
+        self._planner = Planner(self.cache, self.farm_report)
 
-    def _scale_for(self, spec: BenchmarkSpec) -> int:
-        return self.config.scale if self.config.scale is not None else spec.default_scale
+    def close(self) -> None:
+        """Remove the throwaway cache, if this runner made one."""
+        if self._scratch is not None:
+            self._scratch.cleanup()
 
     def prefetch(self, requests: Iterable) -> None:
         """Produce all artifacts for *requests* up front, possibly in parallel.
@@ -197,16 +204,20 @@ class SuiteRunner:
         the rest across ``RunConfig.jobs`` worker processes (serially
         in-process for ``jobs=1``).  Subsequent :meth:`run` /
         :meth:`analyze` calls then load the artifacts instead of
-        recomputing.  A no-op without a cache directory (workers ship
-        artifacts through the cache).
+        recomputing.  The legacy engine analyzes in this process, so its
+        analysis requests farm only their traces and profiles.
         """
-        if self._cache is None:
-            return
+        if self.config.engine == "legacy":
+            requests = [
+                TraceRequest(r.benchmark, r.max_steps)
+                if isinstance(r, AnalysisRequest) else r
+                for r in requests
+            ]
         graph = self._planner.plan(
             requests, self.config.scale, self.config.max_steps
         )
         engine = ExecutionEngine(
-            self._cache,
+            self.cache,
             jobs=self.config.jobs,
             retry=RetryPolicy(
                 max_attempts=self.config.retries + 1,
@@ -219,100 +230,64 @@ class SuiteRunner:
         )
         engine.execute(graph, self.farm_report)
 
+    def _fetch(self, request: Request, stage: str, key: str, load):
+        """Load the *stage* artifact *key* of *request* from the cache.
+
+        A present artifact is a hit.  A missing one is produced by
+        prefetching *request* first, as is a present one that fails
+        verification (the cache has quarantined it; the failure is
+        recorded).  A job the farm gives up on raises ``RuntimeError``
+        with the fatal failure's message.
+        """
+        kind = "result" if stage == "analyze" else stage
+        if self.cache.has_artifact(kind, key):
+            try:
+                artifact = load()
+            except CorruptArtifactError as exc:
+                self.farm_report.record_failure(
+                    key, stage, request.benchmark, "corrupt", 1, str(exc),
+                    retried=True,
+                )
+            else:
+                self.farm_report.record(key, stage, request.benchmark, HIT)
+                return artifact
+        seen = len(self.farm_report.failures)
+        self.prefetch([request])
+        if not self.cache.has_artifact(kind, key):
+            fatal = [f for f in self.farm_report.failures[seen:] if not f.retried]
+            reason = fatal[0].message if fatal else "no failure recorded"
+            raise RuntimeError(
+                f"the farm could not produce the {stage} artifact of "
+                f"{request.benchmark}: {reason}"
+            )
+        return load()
+
     def run(self, name: str) -> BenchmarkRun:
-        """Compile, trace, and profile one benchmark (cached)."""
+        """Trace and profile one benchmark through the farm (cached)."""
         cached = self._runs.get(name)
         if cached is not None:
             return cached
         spec = SUITE[name]
         with telemetry.span("runner.run", benchmark=name):
-            if self._cache is None:
-                program = spec.compile(self.config.scale)
-                trace = FastVM(program).run(max_steps=self.config.max_steps).trace
-                predictor = ProfilePredictor.from_trace(trace)
-                run = BenchmarkRun(
-                    spec=spec,
-                    analyzer=LimitAnalyzer(program),
-                    predictor=predictor,
-                    trace=trace,
-                )
-            else:
-                program, opener, predictor = self._materialize(spec)
-                run = BenchmarkRun(
-                    spec=spec,
-                    analyzer=LimitAnalyzer(program),
-                    predictor=predictor,
-                    opener=opener,
-                )
+            request = TraceRequest(name)
+            keys = self._planner.request_keys(
+                request, self.config.scale, self.config.max_steps
+            )
+            program = spec.compile(self.config.scale)
+
+            def opener():
+                return self.cache.open_trace_reader(keys.trace, program)
+
+            self._fetch(request, "trace", keys.trace, opener)
+            predictor = self._fetch(
+                request, "profile", keys.profile,
+                lambda: self.cache.load_profile(keys.profile),
+            )
+            run = BenchmarkRun(spec, LimitAnalyzer(program), predictor, opener)
             if self.config.verify:
                 self._verify(run)
         self._runs[name] = run
         return run
-
-    def _materialize(self, spec: BenchmarkSpec):
-        """Produce (or find) one benchmark's trace and profile in the cache.
-
-        The trace is produced by the specialized VM streaming straight
-        into the cache — it never materializes in this process — and is
-        consumed through streaming readers, so a 100M-step budget costs
-        the runner no resident memory.  A cached artifact that fails
-        integrity verification has already been quarantined by the cache;
-        it is transparently re-produced (and re-stored) here instead of
-        crashing the run.
-        """
-        scale = self._scale_for(spec)
-        trace_key = self._trace_key(spec.name)
-        program = spec.compile(scale)
-        cache = self._cache
-
-        def opener():
-            return cache.open_trace_reader(trace_key, program)
-
-        have_trace = False
-        if cache.has_trace(trace_key):
-            try:
-                cache.open_trace_reader(trace_key, program)
-                have_trace = True
-                self.farm_report.record(trace_key, "trace", spec.name, HIT)
-            except CorruptArtifactError as exc:
-                self.farm_report.record_failure(
-                    trace_key, "trace", spec.name, "corrupt", 1, str(exc),
-                    retried=True,
-                )
-        if not have_trace:
-            started = time.time()
-            with cache.store_trace_stream(trace_key, program) as writer:
-                FastVM(program).run(
-                    max_steps=self.config.max_steps, sink=writer
-                )
-            self.farm_report.record(
-                trace_key, "trace", spec.name, RUN, time.time() - started
-            )
-        profile_key = jobkeys.profile_key(trace_key)
-        predictor = None
-        if cache.has_profile(profile_key):
-            try:
-                predictor = cache.load_profile(profile_key)
-                self.farm_report.record(profile_key, "profile", spec.name, HIT)
-            except CorruptArtifactError as exc:
-                self.farm_report.record_failure(
-                    profile_key, "profile", spec.name, "corrupt", 1, str(exc),
-                    retried=True,
-                )
-        if predictor is None:
-            started = time.time()
-            predictor = ProfilePredictor.from_source(opener())
-            cache.store_profile(profile_key, predictor)
-            self.farm_report.record(
-                profile_key, "profile", spec.name, RUN, time.time() - started
-            )
-        return program, opener, predictor
-
-    def _trace_key(self, name: str) -> str:
-        spec = SUITE[name]
-        scale = self._scale_for(spec)
-        fingerprint = self._planner.fingerprint(name, scale)
-        return jobkeys.trace_key(fingerprint, scale, self.config.max_steps)
 
     def _verify(self, run: BenchmarkRun) -> None:
         """Cross-check the compiled program and its trace (RunConfig.verify)."""
@@ -349,77 +324,50 @@ class SuiteRunner:
     ) -> AnalysisResult:
         """Limit-analyze one benchmark's trace (cached per option set).
 
-        A custom ``predictor`` bypasses the cache (ablations construct their
-        own predictors with internal state).
+        Fused analyses are farm artifacts.  A custom ``predictor`` (the
+        ablations construct their own, with internal state) and the
+        legacy engine run in this process instead: the legacy engine is
+        a differential oracle, and serving it a cached fused result would
+        skip the very code path the caller asked to exercise.  Results
+        with a custom predictor are not cached at all.
         """
-        if predictor is not None:
-            run = self.run(name)
-            return run.analyzer.analyze(
-                run.trace_source(),
-                models=models,
-                predictor=predictor,
-                perfect_unrolling=perfect_unrolling,
-                perfect_inlining=perfect_inlining,
-                collect_misprediction_stats=collect_misprediction_stats,
-                engine=self.config.engine,
-            )
-        key = (
+        request = AnalysisRequest(
             name,
-            tuple(models),
-            perfect_unrolling,
-            perfect_inlining,
-            collect_misprediction_stats,
-            self.config.engine,
+            models=tuple(models),
+            perfect_unrolling=perfect_unrolling,
+            perfect_inlining=perfect_inlining,
+            collect_misprediction_stats=collect_misprediction_stats,
         )
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        result_key = None
-        # The legacy engine exists as a differential oracle: serving it a
-        # persistently cached (fused-produced) result would skip the very
-        # code path the caller asked to exercise.
-        if self._cache is not None and self.config.engine == "fused":
-            result_key = jobkeys.result_key(
-                self._trace_key(name),
-                tuple(m.label for m in models),
-                perfect_unrolling,
-                perfect_inlining,
-                collect_misprediction_stats,
+        if predictor is None and request in self._results:
+            return self._results[request]
+        if predictor is None and self.config.engine == "fused":
+            if self.config.verify:
+                self.run(name)  # verifies the benchmark behind the result
+            result_key = self._planner.request_keys(
+                request, self.config.scale, self.config.max_steps
+            ).result
+            result = self._fetch(
+                request, "analyze", result_key,
+                lambda: self.cache.load_result(result_key),
             )
-            # A persistent hit needs neither the trace nor the program.
-            if self._cache.has_result(result_key):
-                try:
-                    cached = self._cache.load_result(result_key)
-                    self.farm_report.record(result_key, "analyze", name, HIT)
-                    self._results[key] = cached
-                    return cached
-                except CorruptArtifactError as exc:
-                    # Quarantined by the cache; fall through and re-analyze.
-                    self.farm_report.record_failure(
-                        result_key, "analyze", name, "corrupt", 1, str(exc),
-                        retried=True,
-                    )
-        run = self.run(name)
-        started = time.time()
-        with telemetry.span(
-            "runner.analyze", benchmark=name, engine=self.config.engine
-        ):
-            cached = run.analyzer.analyze(
-                run.trace_source(),
-                models=models,
-                predictor=run.predictor,
-                perfect_unrolling=perfect_unrolling,
-                perfect_inlining=perfect_inlining,
-                collect_misprediction_stats=collect_misprediction_stats,
-                engine=self.config.engine,
-            )
-        if result_key is not None:
-            self._cache.store_result(result_key, cached)
-            self.farm_report.record(
-                result_key, "analyze", name, RUN, time.time() - started
-            )
-        self._results[key] = cached
-        return cached
+        else:
+            run = self.run(name)
+            with telemetry.span(
+                "runner.analyze", benchmark=name, engine=self.config.engine
+            ):
+                result = run.analyzer.analyze(
+                    run.trace_source(),
+                    models=models,
+                    predictor=predictor if predictor is not None else run.predictor,
+                    perfect_unrolling=perfect_unrolling,
+                    perfect_inlining=perfect_inlining,
+                    collect_misprediction_stats=collect_misprediction_stats,
+                    engine=self.config.engine,
+                )
+            if predictor is not None:
+                return result
+        self._results[request] = result
+        return result
 
 
 @dataclass

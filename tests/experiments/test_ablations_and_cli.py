@@ -9,7 +9,9 @@ from repro.experiments.cli import EXPERIMENTS, main
 
 @pytest.fixture(scope="module")
 def runner():
-    return SuiteRunner(RunConfig(max_steps=40_000))
+    runner = SuiteRunner(RunConfig(max_steps=40_000))
+    yield runner
+    runner.close()
 
 
 class TestPredictorAblation:
@@ -134,6 +136,31 @@ class TestConvergenceAblation:
     def test_render(self):
         result = ablations.convergence_ablation(budgets=(20_000, 40_000))
         assert "trace length" in result.render()
+
+    def test_budget_runners_keep_the_session_config(self, monkeypatch, tmp_path):
+        from repro import telemetry
+        from repro.core import LimitAnalyzer
+
+        engines = []
+        analyze = LimitAnalyzer.analyze
+
+        def spy(self, *args, **kwargs):
+            engines.append(kwargs.get("engine"))
+            return analyze(self, *args, **kwargs)
+
+        monkeypatch.setattr(LimitAnalyzer, "analyze", spy)
+        telemetry_dir = tmp_path / "telemetry"
+        runner = SuiteRunner(
+            RunConfig(max_steps=5_000, engine="legacy", telemetry_dir=telemetry_dir)
+        )
+        try:
+            ablations.convergence_ablation(runner, budgets=(5_000,))
+            # Each budget runner configures the session's telemetry again.
+            assert telemetry.telemetry_dir() == telemetry_dir
+        finally:
+            telemetry.shutdown()
+            runner.close()
+        assert engines and set(engines) == {"legacy"}
 
 
 class TestInliningAblation:

@@ -16,7 +16,9 @@ M = MachineModel
 
 @pytest.fixture(scope="module")
 def runner():
-    return SuiteRunner(RunConfig(max_steps=60_000))
+    runner = SuiteRunner(RunConfig(max_steps=60_000))
+    yield runner
+    runner.close()
 
 
 class TestTable1:

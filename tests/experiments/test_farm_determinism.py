@@ -6,6 +6,8 @@ and a warm-cache second run must produce identical output while
 executing zero trace jobs.
 """
 
+import tempfile
+
 import pytest
 
 from repro.experiments.cli import main
@@ -56,6 +58,29 @@ class TestParallelByteIdentity:
             ["table2", "--max-steps", MAX_STEPS, "--no-cache"],
         )
         assert cached == uncached
+
+    def test_no_cache_parallel_matches_serial_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        cached, _ = run_cli(
+            capsys,
+            [
+                "table3",
+                "--max-steps", MAX_STEPS,
+                "--cache-dir", str(tmp_path / "c"),
+            ],
+        )
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        # tempfile caches TMPDIR after its first lookup, so patch its cache.
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        uncached, err = run_cli(
+            capsys,
+            ["table3", "--max-steps", MAX_STEPS, "--no-cache", "--jobs", "2"],
+        )
+        assert uncached == cached
+        assert "hit rate" in err
+        assert not list(scratch.glob("repro-cache-*"))
 
 
 class TestWarmCache:

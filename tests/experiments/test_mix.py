@@ -10,7 +10,10 @@ from repro.experiments import mix
 @pytest.fixture(scope="module")
 def result():
     runner = SuiteRunner(RunConfig(max_steps=50_000))
-    return mix.run(runner)
+    try:
+        return mix.run(runner)
+    finally:
+        runner.close()
 
 
 class TestInstructionMix:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import MachineModel
 from repro.experiments import RunConfig, SuiteRunner, TextTable
+from repro.jobs import AnalysisRequest
 from repro.prediction import AlwaysTaken
 
 M = MachineModel
@@ -38,7 +39,9 @@ class TestTextTable:
 class TestSuiteRunner:
     @pytest.fixture(scope="class")
     def runner(self):
-        return SuiteRunner(RunConfig(max_steps=20_000))
+        runner = SuiteRunner(RunConfig(max_steps=20_000))
+        yield runner
+        runner.close()
 
     def test_run_cached(self, runner):
         first = runner.run("awk")
@@ -60,15 +63,85 @@ class TestSuiteRunner:
         a = runner.analyze("awk", models=[M.SP])
         b = runner.analyze("awk", models=[M.SP], predictor=AlwaysTaken())
         assert a is not b
-        assert b[M.SP].parallelism <= a[M.SP].parallelism + 1e-9 or True  # both valid
+        again = runner.analyze("awk", models=[M.SP], predictor=AlwaysTaken())
+        assert again is not b
+        run = runner.run("awk")
+        assert b == run.analyzer.analyze(
+            run.trace_source(), models=[M.SP], predictor=AlwaysTaken()
+        )
 
     def test_default_config(self):
         runner = SuiteRunner()
+        runner.close()
         assert runner.config.max_steps == 150_000
         assert runner.config.scale is None
 
     def test_scale_override(self):
         runner = SuiteRunner(RunConfig(max_steps=5_000, scale=1))
-        run = runner.run("matrix300")
-        assert run.spec.name == "matrix300"
-        assert len(run.trace) == 5_000
+        try:
+            run = runner.run("matrix300")
+            assert run.spec.name == "matrix300"
+            assert len(run.trace) == 5_000
+        finally:
+            runner.close()
+
+    def test_verify_covers_fused_analyses(self, monkeypatch):
+        verified = []
+        monkeypatch.setattr(
+            SuiteRunner, "_verify", lambda self, run: verified.append(run.name)
+        )
+        runner = SuiteRunner(RunConfig(max_steps=5_000, verify=True))
+        try:
+            runner.analyze("awk", models=[M.BASE])
+        finally:
+            runner.close()
+        assert verified == ["awk"]
+
+    def test_legacy_prefetch_farms_no_analyses(self, tmp_path):
+        runner = SuiteRunner(
+            RunConfig(max_steps=5_000, cache_dir=tmp_path, engine="legacy")
+        )
+        runner.prefetch([AnalysisRequest("awk", models=(M.BASE,))])
+        stages = {record.stage for record in runner.farm_report.records.values()}
+        assert "analyze" not in stages and "trace" in stages
+        assert runner.analyze("awk", models=[M.BASE]).engine == "legacy"
+
+
+class TestFarmRecovery:
+    @pytest.mark.parametrize("run_first", [True, False], ids=["run", "analyze"])
+    def test_damaged_cache_heals(self, tmp_path, run_first):
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(max_steps=5_000, cache_dir=cache_dir)
+        models = [M.BASE, M.SP]
+        first = SuiteRunner(config)
+        expected_stats = first.run("awk").stats
+        expected_length = len(first.run("awk").trace)
+        expected = first.analyze("awk", models=models)
+        for pattern in ("traces/*.rtrc.gz", "profiles/*.json", "results/*.json"):
+            (damaged,) = cache_dir.glob(pattern)
+            damaged.write_bytes(b"not the artifact")
+
+        second = SuiteRunner(config)
+        if run_first:
+            second.run("awk")
+        assert second.analyze("awk", models=models) == expected
+        run = second.run("awk")
+        assert run.stats == expected_stats
+        assert len(run.trace) == expected_length
+        assert any(
+            failure.kind == "corrupt" for failure in second.farm_report.failures
+        )
+
+    def test_dead_job_raises_its_failure(self):
+        runner = SuiteRunner(
+            RunConfig(
+                max_steps=2_000,
+                retries=0,
+                inject_faults="stage=trace,mode=raise,times=0",
+            )
+        )
+        try:
+            with pytest.raises(RuntimeError, match="of awk: injected fault"):
+                runner.run("awk")
+        finally:
+            runner.close()
