@@ -17,7 +17,7 @@ from repro.asm import assemble
 from repro.core import ALL_MODELS, AnalysisResult, LimitAnalyzer, MachineModel
 from repro.isa import Program
 from repro.prediction import BranchPredictor
-from repro.vm import VM, RunResult
+from repro.vm import FastVM, RunResult
 
 
 def compile_minic(source: str, name: str = "a.out") -> Program:
@@ -28,8 +28,8 @@ def compile_minic(source: str, name: str = "a.out") -> Program:
 
 
 def trace_program(program: Program, max_steps: int = 1_000_000) -> RunResult:
-    """Execute *program* on a fresh VM and return the traced run."""
-    return VM(program).run(max_steps=max_steps)
+    """Execute *program* on a fresh FastVM and return the traced run."""
+    return FastVM(program).run(max_steps=max_steps)
 
 
 def analyze_program(

@@ -30,7 +30,7 @@ from repro.bench import history as bench_history
 from repro.bench.suite import SUITE
 from repro.core.analyzer import LimitAnalyzer
 from repro.prediction.profile import ProfilePredictor
-from repro.vm.machine import run_program
+from repro.vm import run_program
 
 
 def bench_one(

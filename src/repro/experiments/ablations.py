@@ -391,12 +391,12 @@ def guarded_ablation(runner: SuiteRunner | None = None, max_steps: int = 200_000
     from repro.core import LimitAnalyzer
     from repro.lang import compile_source
     from repro.prediction import ProfilePredictor
-    from repro.vm import VM
+    from repro.vm import FastVM
 
     rows: list[tuple[str, int, float, float, float]] = []
     for label, if_convert in (("branches", False), ("guarded", True)):
         program = compile_source(_GUARDED_DEMO, name=f"demo-{label}", if_convert=if_convert)
-        run = VM(program).run(max_steps=max_steps)
+        run = FastVM(program).run(max_steps=max_steps)
         predictor = ProfilePredictor.from_trace(run.trace)
         result = LimitAnalyzer(program).analyze(
             run.trace,

@@ -106,9 +106,9 @@ def _static_passes(
     from repro.analysis.static.differential import check_static_vs_dynamic
     from repro.core.analyzer import LimitAnalyzer
     from repro.core.models import MachineModel
-    from repro.vm import VM, sanitize_trace
+    from repro.vm import FastVM, sanitize_trace
 
-    run = VM(program).run(max_steps=max_steps)
+    run = FastVM(program).run(max_steps=max_steps)
     diagnostics += sanitize_trace(run.trace, analysis=facts.analysis, name=name)
     result = LimitAnalyzer(program, facts.analysis).analyze(
         run.trace, models=[MachineModel.ORACLE]

@@ -474,13 +474,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         "counter",
-        "repro_vm_legacy_tail_total",
-        "FastVM runs that handed off to the legacy interpreter tail, "
-        "per program",
-        ("program",),
-    ),
-    (
-        "counter",
         "repro_trace_chunks_written_total",
         "RTRC v2 frames written by TraceWriter",
         (),

@@ -26,7 +26,7 @@ from repro.core import ALL_MODELS, LimitAnalyzer
 from repro.diagnostics import has_errors, render_all
 from repro.isa import Program
 from repro.lang import compile_source, compile_to_assembly, lint_minic
-from repro.vm import VM
+from repro.vm import FastVM
 
 
 def _load(path: str, if_convert: bool = False, verify: bool = False) -> Program:
@@ -69,7 +69,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     program = _load(args.file, if_convert=args.if_convert, verify=args.verify)
-    result = VM(program).run(max_steps=args.max_steps)
+    result = FastVM(program).run(max_steps=args.max_steps)
     for item in result.output:
         if isinstance(item, str):
             print(item, end="")
@@ -87,7 +87,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load(args.file, if_convert=args.if_convert, verify=args.verify)
-    run = VM(program).run(max_steps=args.max_steps)
+    run = FastVM(program).run(max_steps=args.max_steps)
     analyzer = LimitAnalyzer(program)
     if args.verify:
         from repro.vm import sanitize_trace

@@ -1,7 +1,7 @@
 """Tracing interpreter for the repro ISA (the study's ``pixie`` equivalent)."""
 
-from repro.vm.fastvm import FastVM, fastvm_source, run_program_fast
-from repro.vm.machine import RETURN_SENTINEL, VM, RunResult, VMError, run_program
+from repro.vm.fastvm import FastVM, fastvm_source, run_program
+from repro.vm.machine import RETURN_SENTINEL, VM, RunResult, VMError
 from repro.vm.sanitize import sanitize_trace
 from repro.vm.trace import (
     NO_ADDR,
@@ -43,7 +43,6 @@ __all__ = [
     "iter_trace_chunks",
     "load_trace",
     "run_program",
-    "run_program_fast",
     "sanitize_trace",
     "save_trace",
 ]

@@ -1,11 +1,13 @@
 """The specialized (generated-dispatch) tracing VM.
 
-:class:`FastVM` executes the same programs as :class:`~repro.vm.machine.VM`
-— the repo's pixie equivalent — but replaces the interpreter's giant
-``if/elif`` opcode dispatch with *per-program generated code*, the same
-technique the fused analyzer uses for its per-shape kernels
-(:func:`repro.core.analyzer._emit_kernel`).  For each program it emits and
-compiles, once, a factory of small Python closures:
+:class:`FastVM` is the repo's pixie equivalent: every user path — the
+experiment runner, the farm workers, ``repro.api``, ``run_program``,
+``repro-cc``, ``repro-lint --trace`` and the ablations — traces with it.
+It replaces an interpreter's giant ``if/elif`` opcode dispatch with
+*per-program generated code*, the same technique the fused analyzer uses
+for its per-shape kernels (:func:`repro.core.analyzer._emit_kernel`).
+For each program it emits and compiles, once, a factory of small Python
+closures:
 
 * one **block handler** per basic-block leader, covering the whole
   straight-line run up to and including its terminating control transfer.
@@ -18,14 +20,19 @@ compiles, once, a factory of small Python closures:
   (or a manually set ``pc``) may land mid-block and still execute
   correctly, stepping until the next leader realigns with block dispatch.
 
-Each handler returns the next pc.  The run loop indexes the handler
-table while the budget allows and the pc stays in code; everything else
-— the return-to-sentinel halt, out-of-range computed jumps, and the
-budget tail shorter than the longest block — is delegated to the legacy
-interpreter (sharing registers, memory, and output in place), which
-keeps the two VMs *exactly* equivalent at every edge: the differential
-suite asserts byte-identical traces, branch profiles, outputs, exit
-values, steps, and ``halted`` flags on every benchmark.
+Each handler returns the next pc.  The run loop dispatches blocks while
+the remaining budget exceeds the longest block and the pc stays in code.
+A step loop finishes the run: the budget tail shorter than the longest
+block, the return-to-sentinel halt, and out-of-range computed jumps.
+Before each handler it checks the budget, then the sentinel, then the
+code range, in the order the legacy interpreter
+(:class:`~repro.vm.machine.VM`, kept as the differential oracle) checks
+before each instruction.  It runs a block whole while it fits the
+budget, and the block the budget cuts one instruction at a time, through
+a single-instruction handler for that leader compiled on first use.  The
+differential suite asserts byte-identical traces, branch profiles,
+outputs, exit values, steps, ``halted`` flags and ``VMError`` messages
+on every benchmark.
 
 Streaming: pass ``sink=`` (a :class:`~repro.vm.trace_io.TraceWriter` or
 anything with a ``write(pcs, addrs, takens)`` method) and the trace is
@@ -42,7 +49,7 @@ from repro import telemetry
 from repro.isa import registers
 from repro.isa.opcodes import Opcode
 from repro.isa.program import GLOBALS_BASE, STACK_TOP, Program
-from repro.vm.machine import RETURN_SENTINEL, VM, RunResult, VMError
+from repro.vm.machine import RETURN_SENTINEL, RunResult, VMError
 from repro.vm.trace import Trace
 from repro.vm.trace_io import DEFAULT_CHUNK_RECORDS
 
@@ -341,17 +348,34 @@ def _leaders(program: Program) -> set[int]:
     return {pc for pc in leaders if 0 <= pc < n}
 
 
-def _emit_factory(program: Program, traced: bool) -> str:
-    """Generate the handler-table factory source for one program.
-
-    The factory binds the run's mutable state (registers, memory, trace
-    columns, profile, step/halt cells) into ~2n closures and returns the
-    pc-indexed handler tuple.  Handlers for block leaders execute whole
-    basic blocks; handlers for interior pcs execute one instruction, so
-    any dynamically computed pc dispatches correctly.
-    """
+def _blocks(program: Program) -> dict[int, list[int]]:
+    """Each leader's basic block: the pcs of its straight-line run."""
     n = len(program.instructions)
     leaders = _leaders(program)
+    blocks = {}
+    for leader in leaders:
+        block = [leader]
+        while program.instructions[block[-1]].opcode not in _TERMINALS:
+            nxt = block[-1] + 1
+            if nxt >= n or nxt in leaders:
+                break
+            block.append(nxt)
+        blocks[leader] = block
+    return blocks
+
+
+def _emit_factory(program: Program, traced: bool, single: int | None = None) -> str:
+    """Generate a handler factory's source for one program.
+
+    The factory binds the run's mutable state (registers, memory, trace
+    columns, profile, step/halt cells) into closures.  By default it
+    returns the pc-indexed dispatch tuple: handlers for block leaders
+    execute whole basic blocks, handlers for interior pcs execute one
+    instruction, so any dynamically computed pc dispatches correctly.
+    With *single* it returns one handler executing just the instruction
+    at that pc, for a run whose budget ends inside the pc's block.
+    """
+    n = len(program.instructions)
     out: list[str] = []
     emit = out.append
     emit("def _bind(regs, memory, output, profile, cpcs, caddrs, ctakens, sc, cell):")
@@ -366,81 +390,86 @@ def _emit_factory(program: Program, traced: bool) -> str:
     def emit_handler(pc: int, block: list[int]) -> None:
         emit(f"    def h{pc}():")
         emit(f"        sc[0] += {len(block)}")
-        terminal = False
         for member in block:
             for line in _instr_lines(program, member, traced):
                 emit(f"        {line}")
-        last = program.instructions[block[-1]].opcode
-        terminal = last in _TERMINALS
-        if not terminal:
+        if program.instructions[block[-1]].opcode not in _TERMINALS:
             emit(f"        return {block[-1] + 1}")
 
-    for pc in range(n):
-        if pc in leaders:
-            block = [pc]
-            while program.instructions[block[-1]].opcode not in _TERMINALS:
-                nxt = block[-1] + 1
-                if nxt >= n or nxt in leaders:
-                    break
-                block.append(nxt)
-            emit_handler(pc, block)
-        else:
-            emit_handler(pc, [pc])
-
-    handler_list = ", ".join(f"h{pc}" for pc in range(n))
-    comma = "," if n == 1 else ""
-    emit(f"    return ({handler_list}{comma})")
+    if single is not None:
+        emit_handler(single, [single])
+        emit(f"    return h{single}")
+    else:
+        blocks = _blocks(program)
+        for pc in range(n):
+            emit_handler(pc, blocks.get(pc, [pc]))
+        handler_list = ", ".join(f"h{pc}" for pc in range(n))
+        comma = "," if n == 1 else ""
+        emit(f"    return ({handler_list}{comma})")
     emit("")
     return "\n".join(out)
+
+
+def _exec_factory(source: str, filename: str):
+    namespace = {"VMError": VMError, "_HALT": _HALT_SIGNAL}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_bind"]
 
 
 class _Decoded:
     """Per-program compiled artifacts, shared across FastVM instances."""
 
     __slots__ = (
-        "program_ref", "max_block", "n_blocks", "_factories", "_sources"
+        "program_ref",
+        "lengths",
+        "max_block",
+        "n_blocks",
+        "_factories",
+        "_sources",
+        "_singles",
     )
 
     def __init__(self, program: Program):
         self.program_ref = weakref.ref(program)
-        leaders = _leaders(program)
-        self.n_blocks = len(leaders)
-        n = len(program.instructions)
-        max_block = 1
-        for leader in leaders:
-            length = 1
-            pc = leader
-            while (
-                program.instructions[pc].opcode not in _TERMINALS
-                and pc + 1 < n
-                and pc + 1 not in leaders
-            ):
-                pc += 1
-                length += 1
-            if length > max_block:
-                max_block = length
-        self.max_block = max_block
+        blocks = _blocks(program)
+        self.n_blocks = len(blocks)
+        #: Instructions the dispatch handler at each pc retires.
+        self.lengths = tuple(
+            len(blocks.get(pc, (pc,))) for pc in range(len(program.instructions))
+        )
+        self.max_block = max(self.lengths, default=1)
         self._factories: dict[bool, object] = {}
         self._sources: dict[bool, str] = {}
+        self._singles: dict[tuple[int, bool], object] = {}
 
     def factory(self, traced: bool):
         cached = self._factories.get(traced)
         if cached is None:
             program = self.program_ref()
             source = _emit_factory(program, traced)
-            namespace = {"VMError": VMError, "_HALT": _HALT_SIGNAL}
             variant = "traced" if traced else "untraced"
-            exec(
-                compile(source, f"<fastvm {program.name} {variant}>", "exec"),
-                namespace,
-            )
-            cached = namespace["_bind"]
+            cached = _exec_factory(source, f"<fastvm {program.name} {variant}>")
             self._factories[traced] = cached
             self._sources[traced] = source
             if telemetry.enabled():
                 telemetry.METRICS.counter(
                     "repro_vm_blocks_compiled_total"
                 ).inc(self.n_blocks, program=program.name)
+        return cached
+
+    def single(self, pc: int, traced: bool):
+        """The factory of a one-instruction handler for the leader at *pc*.
+
+        Compiled on first use: only a run whose budget ends inside a
+        block needs one, so the dispatch table does not carry them all.
+        """
+        key = (pc, traced)
+        cached = self._singles.get(key)
+        if cached is None:
+            program = self.program_ref()
+            source = _emit_factory(program, traced, single=pc)
+            cached = _exec_factory(source, f"<fastvm {program.name} pc {pc}>")
+            self._singles[key] = cached
         return cached
 
     def source(self, traced: bool) -> str:
@@ -472,10 +501,11 @@ def fastvm_source(program: Program, traced: bool = True) -> str:
 class FastVM:
     """A resettable specialized VM for one program (see module docstring).
 
-    Drop-in equivalent of :class:`~repro.vm.machine.VM`: same ``reset``
-    contract, same :class:`RunResult`, same exceptions.  ``run`` adds a
-    ``sink=`` mode that streams trace chunks to a writer instead of
-    building an in-memory :class:`Trace`.
+    The VM every pipeline stage and tool runs.  It keeps the contract of
+    the oracle interpreter :class:`~repro.vm.machine.VM` — same ``reset``,
+    same :class:`RunResult`, same exceptions — without calling it.
+    ``run`` adds a ``sink=`` mode that streams trace chunks to a writer
+    instead of building an in-memory :class:`Trace`.
     """
 
     def __init__(self, program: Program):
@@ -514,29 +544,27 @@ class FastVM:
             raise ValueError("streaming (sink=) requires trace=True")
         program = self.program
         n_code = len(program.instructions)
-        cpcs: list[int] = []
-        caddrs: list[int] = []
-        ctakens: list[int] = []
+        trace_obj = Trace(program)
+        if sink is None:
+            # In memory, handlers append straight into the trace's
+            # array('q') columns: no boxed-int lists to copy afterwards.
+            cpcs, caddrs, ctakens = trace_obj.pcs, trace_obj.addrs, trace_obj.takens
+        else:
+            cpcs, caddrs, ctakens = [], [], []
         profile: dict[int, list[int]] = {}
         sc = [0]
         cell = [0]
-        handlers = self._decoded.factory(trace)(
-            self.regs,
-            self.memory,
-            self.output,
-            profile,
-            cpcs,
-            caddrs,
-            ctakens,
-            sc,
-            cell,
+        state = (
+            self.regs, self.memory, self.output, profile, cpcs, caddrs, ctakens, sc, cell
         )
+        decoded = self._decoded
+        handlers = decoded.factory(trace)(*state)
         pc = self.pc
         halted = False
         tele_on = telemetry.enabled()
         run_started = time.perf_counter() if tele_on else 0.0
 
-        safe = max_steps - self._decoded.max_block
+        safe = max_steps - decoded.max_block
         try:
             if sink is None:
                 while sc[0] < safe and 0 <= pc < n_code:
@@ -549,35 +577,31 @@ class FastVM:
                         del cpcs[:]
                         del caddrs[:]
                         del ctakens[:]
+            # The budget tail, the sentinel return and an out-of-range
+            # computed jump, checked in the legacy interpreter's order:
+            # budget, sentinel, code range.  A block runs whole while it
+            # fits the budget; control leaves a block only at its end, so
+            # that equals stepping it.  The block the budget cuts runs one
+            # instruction at a time.
+            lengths = decoded.lengths
+            while sc[0] < max_steps:
+                if pc == RETURN_SENTINEL:
+                    halted = True
+                    break
+                if not 0 <= pc < n_code:
+                    raise VMError(f"pc {pc} outside code [0, {n_code})")
+                if sc[0] + lengths[pc] <= max_steps:
+                    pc = handlers[pc]()
+                else:
+                    pc = decoded.single(pc, trace)(*state)()
         except _Halt:
             halted = True
             pc = cell[0]
-        else:
-            remaining = max_steps - sc[0]
-            if remaining > 0:
-                # Budget tail, sentinel return, or an out-of-range computed
-                # jump: the legacy interpreter finishes the run over the
-                # same architectural state, reproducing its exact edge
-                # semantics (halt flags, VMError messages) step for step.
-                if tele_on:
-                    telemetry.METRICS.counter(
-                        "repro_vm_legacy_tail_total"
-                    ).inc(program=program.name)
-                tail_steps, halted, pc = self._run_tail(
-                    pc, remaining, trace, profile, cpcs, caddrs, ctakens
-                )
-                sc[0] += tail_steps
         self.pc = pc
         steps = sc[0]
 
-        if sink is not None:
-            if cpcs:
-                sink.write(cpcs, caddrs, ctakens)
-            trace_obj = Trace(program)
-        elif trace:
-            trace_obj = Trace(program, cpcs, caddrs, ctakens)
-        else:
-            trace_obj = Trace(program)
+        if sink is not None and cpcs:
+            sink.write(cpcs, caddrs, ctakens)
 
         if tele_on:
             elapsed = time.perf_counter() - run_started
@@ -602,39 +626,7 @@ class FastVM:
             branch_profile=profile,
         )
 
-    def _run_tail(
-        self,
-        pc: int,
-        remaining: int,
-        traced: bool,
-        profile: dict[int, list[int]],
-        cpcs: list[int],
-        caddrs: list[int],
-        ctakens: list[int],
-    ) -> tuple[int, bool, int]:
-        """Finish a run with the legacy interpreter over shared state."""
-        vm = VM.__new__(VM)
-        vm.program = self.program
-        vm.regs = self.regs
-        vm.memory = self.memory
-        vm.output = self.output
-        vm.pc = pc
-        result = vm.run(max_steps=remaining, trace=traced)
-        for branch_pc, counts in result.branch_profile.items():
-            own = profile.get(branch_pc)
-            if own is None:
-                profile[branch_pc] = counts
-            else:
-                own[0] += counts[0]
-                own[1] += counts[1]
-        if traced:
-            tail = result.trace
-            cpcs.extend(tail.pcs)
-            caddrs.extend(tail.addrs)
-            ctakens.extend(tail.takens)
-        return result.steps, result.halted, vm.pc
 
-
-def run_program_fast(program: Program, max_steps: int = 1_000_000) -> RunResult:
-    """Convenience wrapper: fresh FastVM, one traced run."""
+def run_program(program: Program, max_steps: int = 1_000_000) -> RunResult:
+    """Convenience wrapper: fresh :class:`FastVM`, one traced run."""
     return FastVM(program).run(max_steps=max_steps)

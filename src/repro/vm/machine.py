@@ -1,10 +1,12 @@
-"""The tracing interpreter.
+"""The reference tracing interpreter.
 
 :class:`VM` executes a :class:`~repro.isa.Program` and records the dynamic
 trace the limit study consumes.  It plays the role of MIPS ``pixie`` in the
 paper: instrument, run with a step budget, and hand back (pc, effective
 address, branch outcome) per executed instruction, plus per-branch profile
-counts used to train the static branch predictor.
+counts used to train the static branch predictor.  It is the differential
+oracle for :class:`~repro.vm.fastvm.FastVM`, which every pipeline stage and
+tool runs; no production path calls :class:`VM`.
 
 Machine semantics:
 
@@ -384,8 +386,3 @@ _COMPARE_IMM = {
     Opcode.SGTI: lambda a, b: a > b,
     Opcode.SGEI: lambda a, b: a >= b,
 }
-
-
-def run_program(program: Program, max_steps: int = 1_000_000) -> RunResult:
-    """Convenience wrapper: fresh VM, one traced run."""
-    return VM(program).run(max_steps=max_steps)

@@ -1,14 +1,17 @@
-"""Unit tests for the tracing VM."""
+"""Unit tests for the tracing VM, on both engines.
 
-import pytest
+Every program runs on the oracle interpreter and on FastVM, and the two
+must agree on every observable (``tests/vm/engines.py``).
+"""
 
 from repro.asm import assemble
 from repro.isa import STACK_TOP, registers as R
-from repro.vm import NO_ADDR, NOT_BRANCH, VM, VMError, run_program
+from repro.vm import NO_ADDR, NOT_BRANCH
+from tests.vm.engines import faults_alike, run_both
 
 
 def run(source, max_steps=100_000):
-    return run_program(assemble(source), max_steps=max_steps)
+    return run_both(assemble(source), max_steps=max_steps)
 
 
 class TestArithmetic:
@@ -72,8 +75,7 @@ class TestMemory:
         assert result.exit_value == 123
 
     def test_negative_address_faults(self):
-        with pytest.raises(VMError, match="negative"):
-            run("li $t0, -4\nlw $v0, 0($t0)\nhalt")
+        faults_alike(assemble("li $t0, -4\nlw $v0, 0($t0)\nhalt"), "negative")
 
     def test_trace_records_effective_address(self):
         result = run(".data\nv: .word 5\n.text\nla $t0, v\nlw $v0, 0($t0)\nhalt")
@@ -214,9 +216,7 @@ class TestProfileAndIO:
         assert result.output_text == "hi"
 
     def test_sp_initialized(self):
-        vm = VM(assemble("mov $v0, $sp\nhalt"))
-        result = vm.run()
-        assert result.exit_value == STACK_TOP
+        assert run("mov $v0, $sp\nhalt").exit_value == STACK_TOP
 
 
 class TestTraceShape:
@@ -232,7 +232,7 @@ class TestTraceShape:
         assert set(result.trace.addrs) == {NO_ADDR}
 
     def test_untraced_run_still_profiles(self):
-        vm = VM(assemble("li $t0, 2\nloop: addi $t0, $t0, -1\nbgtz $t0, loop\nhalt"))
-        result = vm.run(trace=False)
+        program = assemble("li $t0, 2\nloop: addi $t0, $t0, -1\nbgtz $t0, loop\nhalt")
+        result = run_both(program, trace=False)
         assert len(result.trace) == 0
         assert result.branch_profile
